@@ -10,7 +10,7 @@ RACE_PKGS := ./internal/symexec ./internal/solver ./internal/core \
              ./internal/trace ./internal/dataplane ./internal/serve \
              ./internal/verify ./internal/obsrv
 
-.PHONY: all check build test race bench bench-parallel bench-dataplane bench-sharding bench-chain bench-telemetry bench-trace bench-verify bench-obsrv alloc vet lint fuzz trace serve verify-net
+.PHONY: all check build test race bench bench-parallel bench-dataplane bench-sharding bench-chain bench-telemetry bench-trace bench-verify bench-obsrv bench-swap alloc vet lint fuzz trace serve verify-net
 
 all: check
 
@@ -54,9 +54,11 @@ serve:
 	    -swap-after 5000 -swap-allow-change > /dev/null
 
 # The steady-state allocation regressions in isolation: AllocsPerRun
-# must report 0 allocs/packet with telemetry attached.
+# must report 0 allocs/packet with telemetry attached, and a hot swap's
+# barrier must allocate the same at 1k and 50k NAT flows (its work is
+# O(vars + window), never O(table)).
 alloc:
-	$(GO) test -run 'ZeroAlloc|AllocFree' ./internal/dataplane ./internal/telemetry ./internal/trace ./internal/symexec ./internal/obsrv
+	$(GO) test -run 'ZeroAlloc|AllocFree|AllocFlat' ./internal/dataplane ./internal/telemetry ./internal/trace ./internal/symexec ./internal/obsrv ./internal/serve
 
 build:
 	$(GO) build ./...
@@ -127,3 +129,11 @@ bench-verify:
 # TestObserveZeroAlloc).
 bench-obsrv:
 	$(GO) run ./cmd/nfbench -exp obsrv -workers 1 -out BENCH_obsrv.json
+
+# Two-phase hot swap of a serving NAT at 1k, 50k and 200k flows (barrier
+# pause, worst batch latency across the swap, per-phase prepare and
+# barrier times, all read from the SwapReport); refreshes the checked-in
+# BENCH_swap.json. The acceptance bar is a barrier pause flat in table
+# size.
+bench-swap:
+	$(GO) run ./cmd/nfbench -exp swap -workers 1 -out BENCH_swap.json

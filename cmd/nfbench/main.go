@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nfbench [-exp table1|table2|figure1|figure6|accuracy|verification|dataplane|sharding|chain|telemetry|trace|obsrv|all]
+//	nfbench [-exp table1|table2|figure1|figure6|accuracy|verification|dataplane|sharding|chain|telemetry|trace|obsrv|swap|all]
 //	        [-nfs lb,balance,...] [-maxpaths 1024] [-trials 1000]
 //	        [-shards 1,2,4,8] [-workers N] [-stats] [-out bench.json]
 //
@@ -41,6 +41,12 @@
 // the rows as BENCH_obsrv.json. The acceptance bar is <=5% overhead
 // with the scraper attached.
 //
+// -exp swap measures the NAT hot swap at 1k, 50k and 200k flows: the
+// barrier pause, the worst batch latency across the swap and the
+// per-phase prepare and barrier times, read from the SwapReport; `make
+// bench-swap` records the rows as BENCH_swap.json. The acceptance bar
+// is a barrier pause flat in table size (within 2x across the rows).
+//
 // -exp verify measures symbolic network verification (reach/isolation/
 // waypoint/loopfree invariants over branching topologies of corpus NF
 // models) at 1 worker vs a pool, with solver-cache hit rates and a
@@ -67,7 +73,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1 | table2 | figure1 | figure6 | accuracy | verification | dataplane | sharding | chain | telemetry | trace | verify | obsrv | all")
+	exp := flag.String("exp", "all", "experiment: table1 | table2 | figure1 | figure6 | accuracy | verification | dataplane | sharding | chain | telemetry | trace | verify | obsrv | swap | all")
 	nfsFlag := flag.String("nfs", "", "comma-separated NF subset (default: whole corpus)")
 	maxPaths := flag.Int("maxpaths", 1024, "path budget for original-program symbolic execution (the paper's snort run exceeded it)")
 	trials := flag.Int("trials", 1000, "random packets per NF in the accuracy experiment")
@@ -179,6 +185,15 @@ func main() {
 			fmt.Println("wrote", *out)
 		}
 	}
+	if run("swap") {
+		rows, err := experiments.Swap([]int{1000, 50000, 200000}, 5)
+		check(err)
+		fmt.Println(experiments.FormatSwap(rows))
+		if *out != "" && *exp == "swap" {
+			check(writeSwapJSON(*out, rows))
+			fmt.Println("wrote", *out)
+		}
+	}
 	if run("verify") {
 		rows, err := experiments.VerifyNet(opts)
 		check(err)
@@ -233,13 +248,8 @@ func writeShardingJSON(path string, rows []experiments.ShardingRow) error {
 			"per-flow rotor choice otherwise; see dataplane.Equiv). Speedup is relative to the " +
 			"1-shard row. Shards are goroutines: scaling beyond 1x requires cores > 1 in the " +
 			"machine block. Regenerate with `make bench-sharding`.",
-		Machine: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Rows: rows,
+		Machine: machine(),
+		Rows:    rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -261,13 +271,8 @@ func writeDataplaneJSON(path string, rows []experiments.DataplaneRow) error {
 			"fuzz pass over that trace confirmed identical outputs and end state. " +
 			"Engine numbers are steady-state and allocation-free (see TestZeroAllocSteadyState). " +
 			"Regenerate with `make bench-dataplane`.",
-		Machine: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Rows: rows,
+		Machine: machine(),
+		Rows:    rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -292,13 +297,8 @@ func writeChainJSON(path string, rows []experiments.ChainRow) error {
 			"measured only after a closed-loop differential pass (dataplane.DiffTestChain) " +
 			"proved the fused engine produces identical verdicts, emitted packets, per-stage " +
 			"state and per-stage telemetry. Regenerate with `make bench-chain`.",
-		Machine: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Rows: rows,
+		Machine: machine(),
+		Rows:    rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -321,13 +321,8 @@ func writeTraceJSON(path string, rows []experiments.TraceRow) error {
 			"strictly zero-cost — a nil tracer leaves only nil checks in the exploration loop " +
 			"(see TestDisabledTracerSteppingIsAllocFree). Target: <5% overhead enabled. " +
 			"Regenerate with `make bench-trace`.",
-		Machine: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Rows: rows,
+		Machine: machine(),
+		Rows:    rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -349,13 +344,8 @@ func writeVerifyNetJSON(path string, rows []experiments.VerifyNetRow) error {
 			"cache. cache_hit_rate is the fraction of satisfiability decisions answered from " +
 			"the memoizing cache in the 1-worker run; worker_invariant asserts the two runs " +
 			"produced byte-identical reports. Regenerate with `make bench-verify`.",
-		Machine: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Rows: rows,
+		Machine: machine(),
+		Rows:    rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -382,13 +372,8 @@ func writeObsrvJSON(path string, rows []experiments.ObsrvRow) error {
 			"acceptance bar is <=5% overhead with the scraper attached (ScrapePct). The packet " +
 			"path stays allocation-free with collectors on (see TestObserveZeroAlloc). " +
 			"Regenerate with `make bench-obsrv`.",
-		Machine: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Rows: rows,
+		Machine: machine(),
+		Rows:    rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -407,13 +392,42 @@ func writeTelemetryJSON(path string, rows []experiments.TelemetryRow) error {
 			"amortized ns/packet over the same warmed trace with the sink attached (default " +
 			"1-in-16 latency sampling) vs detached. The packet path stays allocation-free with " +
 			"telemetry on (see TestTelemetryZeroAlloc). Regenerate with `make bench-telemetry`.",
-		Machine: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Rows: rows,
+		Machine: machine(),
+		Rows:    rows,
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// machine is the JSON machine block every BENCH_*.json records.
+func machine() map[string]any {
+	return map[string]any{
+		"goos":       runtime.GOOS,
+		"goarch":     runtime.GOARCH,
+		"cores":      runtime.NumCPU(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+	}
+}
+
+func writeSwapJSON(path string, rows []experiments.SwapRow) error {
+	doc := struct {
+		Description string                `json:"description"`
+		Machine     map[string]any        `json:"machine"`
+		Rows        []experiments.SwapRow `json:"rows"`
+	}{
+		Description: "Two-phase hot swap of a serving NAT for an independently re-synthesized " +
+			"identical NAT (both gates on, 1024-packet gating window), at 1k, 50k and 200k warmed " +
+			"flows. PauseMs is the barrier pause (SwapReport.Pause: window gates, state hand-off " +
+			"by ownership, audit, epoch flip), WorstBatchMs the largest gap between consecutive " +
+			"emits across the swap, PrepareMs the prepare phase run on the requester's goroutine " +
+			"(normalize, classify, compile); PhaseMs times every phase. Medians of 5 reps, each on " +
+			"a fresh server. The acceptance bar is a barrier pause flat in table size (within 2x " +
+			"across the rows). Regenerate with `make bench-swap`.",
+		Machine: machine(),
+		Rows:    rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -178,7 +178,7 @@ func compareEngineOutput(r *interp.Output, rEntry int, e *dataplane.Output) stri
 		if err != nil {
 			return fmt.Sprintf("send %d: reference emitted a non-packet: %v", i, err)
 		}
-		if rp.Canonical() != e.Sent[i].Pkt.Canonical() {
+		if rp != e.Sent[i].Pkt {
 			return fmt.Sprintf("send %d packet mismatch:\n  instance: %s\n  engine:   %s",
 				i, rp.Canonical(), e.Sent[i].Pkt.Canonical())
 		}

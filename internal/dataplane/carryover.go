@@ -39,47 +39,64 @@ type CarryDecision struct {
 // shard); then a variable carries iff it exists on both sides with the
 // same value kind. Decisions come back sorted by variable name.
 func CarryOver(oldCls, newCls *Classification, old, init map[string]value.Value) (map[string]value.Value, []CarryDecision) {
+	kinds := make(map[string]value.Kind, len(old))
+	for n, v := range old {
+		kinds[n] = v.Kind
+	}
+	decs := CarryDecisions(oldCls, newCls, kinds, init)
+	out := make(map[string]value.Value, len(init))
+	for _, d := range decs {
+		if d.Carried {
+			out[d.Var] = old[d.Var]
+		} else {
+			out[d.Var] = init[d.Var]
+		}
+	}
+	if newCls != nil {
+		bumpAllocators(newCls, out, decs)
+	}
+	return out, decs
+}
+
+// CarryDecisions is CarryOver's decision half: it needs only the old
+// generation's live value kinds (oldKinds; a missing name means no old
+// value), never a table entry, so a swap that hands state over by
+// ownership decides in O(vars).
+func CarryDecisions(oldCls, newCls *Classification, oldKinds map[string]value.Kind, init map[string]value.Value) []CarryDecision {
 	names := make([]string, 0, len(init))
 	for n := range init {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 
-	out := make(map[string]value.Value, len(init))
 	decs := make([]CarryDecision, 0, len(names))
 	for _, n := range names {
 		iv := init[n]
-		ov, ok := old[n]
+		ov, ok := oldKinds[n]
 		d := CarryDecision{Var: n}
 		switch {
 		case !ok:
 			d.Reason = "new variable, no old value"
-		case ov.Kind != iv.Kind:
-			d.Reason = fmt.Sprintf("value kind changed (%s -> %s)", ov.Kind, iv.Kind)
+		case ov != iv.Kind:
+			d.Reason = fmt.Sprintf("value kind changed (%s -> %s)", ov, iv.Kind)
 		case oldCls == nil || newCls == nil:
 			d.Carried, d.Reason = true, "carried by name and kind (unclassified state)"
 		default:
 			d.Carried, d.Reason = carryClassified(oldCls.Vars[n], newCls.Vars[n])
 		}
-		if d.Carried {
-			out[n] = ov
-		} else {
-			out[n] = iv
-		}
 		decs = append(decs, d)
 	}
 	if newCls != nil {
-		resetOrphanedOwnedMaps(newCls, out, init, decs)
-		bumpAllocators(newCls, out, decs)
+		resetOrphanedOwnedMaps(newCls, decs)
 	}
-	return out, decs
+	return decs
 }
 
 // resetOrphanedOwnedMaps resets any carried owned map whose allocator
 // did not carry: the map's keys are points on the old allocator's
 // lattice, which the reseeded or restrided allocator no longer decodes
 // (and could re-allocate, colliding with the carried entries).
-func resetOrphanedOwnedMaps(cls *Classification, out, init map[string]value.Value, decs []CarryDecision) {
+func resetOrphanedOwnedMaps(cls *Classification, decs []CarryDecision) {
 	carried := make(map[string]bool, len(decs))
 	for i := range decs {
 		carried[decs[i].Var] = decs[i].Carried
@@ -95,7 +112,6 @@ func resetOrphanedOwnedMaps(cls *Classification, out, init map[string]value.Valu
 		}
 		d.Carried = false
 		d.Reason = fmt.Sprintf("owned-map reset: its allocator %s did not carry", vc.Alloc)
-		out[d.Var] = init[d.Var]
 	}
 }
 

@@ -57,6 +57,7 @@ type demandProg struct {
 	getters  []func(*netpkt.Packet) scalar // demandFlow: key-field readers
 	ownerGet func(*netpkt.Packet) scalar   // demandOwner: allocator-valued field
 	owner    string                        // demandOwner: field name
+	alloc    string                        // demandOwner: the allocator decoded
 	init     int64
 	step     int64
 }
@@ -286,7 +287,7 @@ func (s *Sharded) demandProgOf(d demand) (demandProg, error) {
 			return demandProg{}, fmt.Errorf("dataplane: unknown owner field %q", d.owner)
 		}
 		vc := s.cls.Vars[d.alloc]
-		return demandProg{kind: demandOwner, ownerGet: g, owner: d.owner, init: vc.Init, step: vc.Step}, nil
+		return demandProg{kind: demandOwner, ownerGet: g, owner: d.owner, alloc: d.alloc, init: vc.Init, step: vc.Step}, nil
 	}
 	return demandProg{kind: demandNone}, nil
 }

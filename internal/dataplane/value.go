@@ -513,7 +513,7 @@ func (h *fnv64) wdecimal(v int64) {
 	}
 }
 
-// wscalar streams value.encodeKey's bytes for one scalar.
+// wscalar streams value.appendKey's bytes for one scalar.
 func (h *fnv64) wscalar(s scalar) error {
 	switch s.k {
 	case kInt:

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"nfactor/internal/telemetry"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -147,5 +149,27 @@ func TestVerificationSnortliteWinsOnModel(t *testing.T) {
 func TestTable2UnknownNF(t *testing.T) {
 	if _, err := Table2([]string{"doesnotexist"}, 64, Opts{}); err == nil {
 		t.Error("unknown NF did not error")
+	}
+}
+
+// TestSwapRows runs the swap experiment at a tiny size: every row
+// carries the NAT's three variables and reports every phase.
+func TestSwapRows(t *testing.T) {
+	rows, err := Swap([]int{300, 600}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Carried != 3 || r.PauseMs <= 0 || r.WorstBatchMs < r.PauseMs {
+			t.Errorf("row %+v", r)
+		}
+		for _, ph := range telemetry.SwapPhaseNames {
+			if _, ok := r.PhaseMs[ph]; !ok {
+				t.Errorf("%d flows: phase %s missing", r.Flows, ph)
+			}
+		}
+	}
+	if out := FormatSwap(rows); !strings.Contains(out, "gate_faithful") {
+		t.Errorf("table lacks the phase columns:\n%s", out)
 	}
 }

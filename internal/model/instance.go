@@ -76,7 +76,7 @@ type env struct {
 }
 
 // Lookup implements solver.Env.
-func (e env) Lookup(name string) (value.Value, bool) {
+func (e *env) Lookup(name string) (value.Value, bool) {
 	if f, ok := strings.CutPrefix(name, "pkt."); ok {
 		v, ok := e.pkt.Pkt.Fields[f]
 		return v, ok
@@ -148,7 +148,7 @@ func (ins *Instance) process(pkt value.Value, tr *telemetry.PacketTrace) (*inter
 }
 
 func (ins *Instance) match(pkt value.Value, tr *telemetry.PacketTrace) (*interp.Output, int, error) {
-	ev := env{ins: ins, pkt: pkt}
+	ev := &env{ins: ins, pkt: pkt} // one allocation per packet, not one per term
 	out := &interp.Output{}
 	for i := range ins.m.Entries {
 		e := &ins.m.Entries[i]
@@ -180,18 +180,46 @@ func (ins *Instance) match(pkt value.Value, tr *telemetry.PacketTrace) (*interp.
 			}
 			sent = append(sent, interp.SentPacket{Pkt: p, Iface: iface})
 		}
-		newState := map[string]value.Value{}
+		type update struct {
+			name string
+			v    value.Value
+		}
+		var updates []update
+		var ops []mapOp
 		for _, u := range e.Updates {
+			if inPlace(u) {
+				ops, err = ins.stageOps(u.Name, u.Val, ev, ops)
+				if err != nil {
+					return nil, -1, fmt.Errorf("model: entry %d update %s: %w", i, u.Name, err)
+				}
+				updates = append(updates, update{u.Name, ins.state[u.Name]})
+				continue
+			}
 			v, err := solver.Eval(u.Val, ev)
 			if err != nil {
 				return nil, -1, fmt.Errorf("model: entry %d update %s: %w", i, u.Name, err)
 			}
-			newState[u.Name] = v
+			switch u.Val.(type) {
+			case solver.Store, solver.Del: // solver.Eval built a fresh map
+			default:
+				if v.Kind == value.KindMap {
+					v = v.Clone() // never alias another variable's map
+				}
+			}
+			updates = append(updates, update{u.Name, v})
 		}
-		for k, v := range newState {
-			ins.state[k] = v
+		for _, op := range ops {
+			m := ins.state[op.name].Map
+			if op.del {
+				_ = m.Delete(op.k)
+			} else {
+				_ = m.Set(op.k, op.v)
+			}
+		}
+		for _, u := range updates {
+			ins.state[u.name] = u.v
 			if tr != nil {
-				tr.Changes = append(tr.Changes, stateChange(k, e, v))
+				tr.Changes = append(tr.Changes, stateChange(u.name, e, u.v))
 			}
 		}
 		out.Sent = sent
@@ -200,6 +228,78 @@ func (ins *Instance) match(pkt value.Value, tr *telemetry.PacketTrace) (*interp.
 	}
 	out.Dropped = true
 	return out, -1, nil
+}
+
+// mapOp is one staged in-place map write: evaluated against the
+// pre-state, applied at commit.
+type mapOp struct {
+	name string
+	del  bool
+	k, v value.Value
+}
+
+// inPlace reports whether update u is a Store/Del chain rooted at the
+// variable's own pre-state map (name@0) — the shape every synthesized
+// map update takes. Such chains commit in place: the instance owns its
+// state maps, so the functional solver.Eval clone of the whole table
+// per write is unnecessary.
+func inPlace(u Assign) bool {
+	t := u.Val
+	for {
+		switch x := t.(type) {
+		case solver.Store:
+			t = x.M
+		case solver.Del:
+			t = x.M
+		case solver.MapVar:
+			return x.Name == u.Name+"@0"
+		default:
+			return false
+		}
+	}
+}
+
+// stageOps evaluates a Store/Del chain's keys and values against the
+// pre-state, innermost write first (solver.Eval's order, so errors
+// surface identically), appending the writes to ops. Keys are encoded
+// here so an unhashable key fails before anything commits.
+func (ins *Instance) stageOps(name string, t solver.Term, ev *env, ops []mapOp) ([]mapOp, error) {
+	var inner, k, v solver.Term
+	switch x := t.(type) {
+	case solver.Store:
+		inner, k, v = x.M, x.K, x.V
+	case solver.Del:
+		inner, k = x.M, x.K
+	default:
+		m, ok := ins.state[name]
+		if !ok {
+			return ops, fmt.Errorf("solver: unbound map %q", name+"@0")
+		}
+		if m.Kind != value.KindMap {
+			return ops, fmt.Errorf("solver: %q is %s, want map", name+"@0", m.Kind)
+		}
+		return ops, nil
+	}
+	ops, err := ins.stageOps(name, inner, ev, ops)
+	if err != nil {
+		return ops, err
+	}
+	op := mapOp{name: name, del: v == nil}
+	if op.k, err = solver.Eval(k, ev); err != nil {
+		return ops, err
+	}
+	if !op.del {
+		if op.v, err = solver.Eval(v, ev); err != nil {
+			return ops, err
+		}
+		if op.v.Kind == value.KindMap {
+			op.v = op.v.Clone() // a stored map must not alias live state
+		}
+	}
+	if _, err := op.k.Key(); err != nil {
+		return ops, err
+	}
+	return append(ops, op), nil
 }
 
 // stateChange renders one committed update for the explain trace.
@@ -218,7 +318,7 @@ func stateChange(name string, e *Entry, v value.Value) telemetry.StateChange {
 	return telemetry.StateChange{Var: name, Op: "assign", Val: fmt.Sprintf("map(%d entries)", v.Map.Len())}
 }
 
-func (ins *Instance) matches(idx int, e *Entry, ev env, tr *telemetry.PacketTrace) (bool, error) {
+func (ins *Instance) matches(idx int, e *Entry, ev *env, tr *telemetry.PacketTrace) (bool, error) {
 	for _, c := range e.Guard() {
 		ok, err := solver.EvalBool(c, ev)
 		if tr != nil {

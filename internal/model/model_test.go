@@ -231,3 +231,59 @@ func TestCompileMapUpdateOrdering(t *testing.T) {
 		t.Errorf("m[b] = %v, want 7 (pre-state read ordering violated)", got)
 	}
 }
+
+// TestInstanceInPlaceMapUpdates pins the in-place commit of Store/Del
+// chains: every key and value evaluates against the pre-state, a map
+// copied into another variable is a snapshot (never aliased by a later
+// in-place write), and an unhashable key fails before anything commits.
+func TestInstanceInPlaceMapUpdates(t *testing.T) {
+	k := solver.Var{Name: "pkt.dport"}
+	m := &Model{
+		OISVars: []string{"seen", "snap"},
+		Entries: []Entry{
+			{ // dport 1: snap := seen@0; seen[dport] := len(seen@0); del seen[0]
+				FlowMatch: []solver.Term{solver.Bin{Op: "==", X: k, Y: solver.Const{V: value.Int(1)}}},
+				Updates: []Assign{
+					{Name: "snap", Val: solver.MapVar{Name: "seen@0"}},
+					{Name: "seen", Val: solver.Del{
+						M: solver.Store{M: solver.MapVar{Name: "seen@0"}, K: k,
+							V: solver.Call{Fn: "len", Args: []solver.Term{solver.MapVar{Name: "seen@0"}}}},
+						K: solver.Const{V: value.Int(0)}}},
+				},
+			},
+			{ // otherwise: seen[(dport, [])] — a list in a key is unhashable
+				Updates: []Assign{{Name: "seen", Val: solver.Store{M: solver.MapVar{Name: "seen@0"},
+					K: solver.Tuple{Elems: []solver.Term{k, solver.Const{V: value.NewList()}}}, V: k}}},
+			},
+		},
+	}
+	seen := value.NewMap()
+	_ = seen.Map.Set(value.Int(0), value.Int(7))
+	inst, err := NewInstance(m, nil, map[string]value.Value{"seen": seen, "snap": value.NewMap()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen.Map.Len() != 1 {
+		t.Fatal("NewInstance must not share the caller's initial maps")
+	}
+	pkt := func(port int64) value.Value {
+		return value.NewPacket(map[string]value.Value{"dport": value.Int(port)})
+	}
+	if _, err := inst.Process(pkt(1)); err != nil {
+		t.Fatal(err)
+	}
+	st := inst.State()
+	if got, _, _ := st["seen"].Map.Get(value.Int(1)); st["seen"].Map.Len() != 1 || got.I != 1 {
+		t.Errorf("seen = %s, want {1: 1} (value read from the pre-state, key 0 deleted)", st["seen"])
+	}
+	if _, ok, _ := st["snap"].Map.Get(value.Int(0)); !ok || st["snap"].Map.Len() != 1 {
+		t.Errorf("snap = %s, want the pre-state snapshot {0: 7}", st["snap"])
+	}
+	before := st["seen"].String()
+	if _, err := inst.Process(pkt(2)); err == nil {
+		t.Fatal("unhashable key did not error")
+	}
+	if after := inst.State()["seen"].String(); after != before {
+		t.Errorf("failed update committed: seen %s -> %s", before, after)
+	}
+}

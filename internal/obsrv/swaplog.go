@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nfactor/internal/dataplane"
+	"nfactor/internal/telemetry"
 )
 
 // SwapEvent is one generation-swap decision, structured for the /swaps
@@ -38,7 +39,12 @@ type SwapEvent struct {
 	Carried   int                       `json:"carried"`
 	Reset     int                       `json:"reset"`
 
-	PauseNs int64 `json:"pause_ns"`
+	// PauseNs is the barrier pause; PrepareNs the off-path prepare
+	// time; Phases times each protocol phase (see
+	// telemetry.SwapPhaseNames).
+	PauseNs   int64                 `json:"pause_ns"`
+	PrepareNs int64                 `json:"prepare_ns"`
+	Phases    []telemetry.SwapPhase `json:"phases,omitempty"`
 }
 
 // Render formats one event the way the serve loop's stderr report does,
@@ -54,7 +60,9 @@ func (e *SwapEvent) Render() string {
 		fmt.Fprintf(&b, "  gated over %d live packets\n", e.WindowLen)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "swapped generation %d -> %d (%q) in %s\n", e.From, e.To, e.Name, time.Duration(e.PauseNs))
+	fmt.Fprintf(&b, "swapped generation %d -> %d (%q): %s barrier pause, prepared in %s off the data path\n",
+		e.From, e.To, e.Name, time.Duration(e.PauseNs), time.Duration(e.PrepareNs))
+	fmt.Fprintf(&b, "  phases: %s\n", telemetry.RenderSwapPhases(e.Phases))
 	fmt.Fprintf(&b, "  entry table: +%d -%d; gated over %d live packets\n", e.EntriesAdded, e.EntriesRemoved, e.WindowLen)
 	fmt.Fprintf(&b, "  state carry-over: %d carried, %d reset\n", e.Carried, e.Reset)
 	for _, d := range e.Decisions {

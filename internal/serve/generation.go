@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"nfactor/internal/chain"
 	"nfactor/internal/core"
@@ -80,6 +81,7 @@ type genStage struct {
 	config map[string]value.Value
 	init   map[string]value.Value
 	cls    *dataplane.Classification // nil: no sharding lowering; carry falls back to name+kind
+	fps    map[string]int            // entry fingerprints, for the swap report's table diff
 }
 
 // Generation is one built engine generation serving traffic.
@@ -92,12 +94,61 @@ type Generation struct {
 	cand   Candidate
 	stages []genStage
 	plane  plane
+	// replica is a sequential twin compiled from pristine init: the
+	// behavior gate replays it (after a reset) whenever this
+	// generation is one side of a swap.
+	replica replica
+}
+
+// prepare runs every window-independent step of building a generation
+// — normalize, classify, and compile both the serving plane and the
+// gate replica from pristine init — and times each phase. It touches
+// no live state, so RequestSwap runs it on the requester's goroutine
+// while the serving loop keeps going; the barrier then only gates,
+// hands state over and flips the epoch. The generation number is
+// assigned at install.
+func prepare(c Candidate) (*Generation, []telemetry.SwapPhase, error) {
+	var phases []telemetry.SwapPhase
+	at := time.Now()
+	mark := func(phase string) {
+		now := time.Now()
+		phases = append(phases, telemetry.SwapPhase{Phase: phase, Dur: now.Sub(at)})
+		at = now
+	}
+	stages, err := normalize(c)
+	mark(telemetry.PhaseNormalize)
+	if err != nil {
+		return nil, phases, err
+	}
+	for i := range stages {
+		st := &stages[i]
+		st.cls, _ = dataplane.Classify(st.m, st.config, st.init) // nil on no-lowering: carry degrades gracefully
+	}
+	mark(telemetry.PhaseClassify)
+	g := &Generation{Name: c.name(), cand: c, stages: stages}
+	pristine := make([]map[string]value.Value, len(stages))
+	for i := range stages {
+		pristine[i] = stages[i].init
+	}
+	if g.plane, err = buildPlane(g, pristine); err == nil {
+		g.replica, err = newReplica(stages)
+	}
+	mark(telemetry.PhaseCompile)
+	if err != nil {
+		return nil, phases, fmt.Errorf("candidate failed to build: %v", err)
+	}
+	return g, phases, nil
+}
+
+// install numbers a prepared generation and stamps its plane.
+func (g *Generation) install(num uint64) {
+	g.Num = num
+	g.plane.setEpoch(num)
 }
 
 // normalize turns a candidate into its pristine stage descriptions:
-// model, concrete config, synthesized init state and the classification
-// against that pristine init. The swap gate and carry-over matching run
-// over these before any plane is built.
+// model, concrete config, synthesized init state and entry
+// fingerprints. prepare classifies them against that pristine init.
 func normalize(c Candidate) ([]genStage, error) {
 	var stages []genStage
 	switch {
@@ -121,39 +172,9 @@ func normalize(c Candidate) ([]genStage, error) {
 		return nil, fmt.Errorf("serve: empty candidate")
 	}
 	for i := range stages {
-		st := &stages[i]
-		st.cls, _ = dataplane.Classify(st.m, st.config, st.init) // nil on no-lowering: carry degrades gracefully
+		stages[i].fps = entryFingerprints(stages[i].m)
 	}
 	return stages, nil
-}
-
-// buildGeneration applies the carried state to normalized stages (nil
-// carry: each stage starts from its pristine init), builds the data
-// plane and stamps it with num. The plane is built FROM the carried
-// state but the kept classification is against the pristine init (see
-// genStage); NewSharded/NewShardedChain internally re-derive what they
-// need from the carried build state, which is exactly what gives shard
-// s a carried allocator position of carried+s*step.
-func buildGeneration(c Candidate, num uint64, stages []genStage, carry []map[string]value.Value) (*Generation, error) {
-	g := &Generation{Num: num, Name: c.name(), cand: c, stages: stages}
-	if carry != nil && len(carry) != len(g.stages) {
-		return nil, fmt.Errorf("serve: carried state for %d stages, candidate has %d", len(carry), len(g.stages))
-	}
-	buildState := make([]map[string]value.Value, len(g.stages))
-	for i := range g.stages {
-		if carry != nil && carry[i] != nil {
-			buildState[i] = carry[i]
-		} else {
-			buildState[i] = g.stages[i].init
-		}
-	}
-	var err error
-	g.plane, err = buildPlane(g, buildState)
-	if err != nil {
-		return nil, err
-	}
-	g.plane.setEpoch(num)
-	return g, nil
 }
 
 // buildPlane compiles the stages into the right engine shape.
@@ -201,8 +222,9 @@ type plane interface {
 	processBatch(pkts []netpkt.Packet, outs []Outcome) error
 	setEpoch(v uint64)
 	// stageStates exports the live state per stage (len 1 for a single
-	// NF), merged across shards. A full deep copy — swap gating needs
-	// exact state. Call only between batches.
+	// NF), merged across shards. A full deep copy, O(table): only a
+	// swap that re-lowers its state (a plane shape change) exports it.
+	// Call only between batches.
 	stageStates() []map[string]value.Value
 	// stageViews exports a bounded per-stage view for the /state
 	// inspector: true sizes, at most max sampled entries per table.
@@ -213,6 +235,31 @@ type plane interface {
 	// stageSnapshots exports per-stage telemetry (len 1 for a single
 	// NF, where it equals snapshot()) — the /coverage granularity.
 	stageSnapshots() []telemetry.Snapshot
+	// shape names the engine shape: fused chain or not, and the shard
+	// count. Two planes of one shape lower every variable of a given
+	// name, class and value kind identically.
+	shape() planeShape
+	// stageKinds reports stage i's live value kinds, O(vars).
+	stageKinds(i int) map[string]value.Kind
+	// handOver makes stage i adopt from's variable name by ownership;
+	// holds audits it. Both need from to have the same shape.
+	handOver(from plane, i int, name string) error
+	holds(from plane, i int, name string) bool
+}
+
+// planeShape is what a variable's lowering depends on beyond its own
+// name, class and kind.
+type planeShape struct {
+	chain  bool
+	shards int
+}
+
+func (s planeShape) String() string {
+	kind := "engine"
+	if s.chain {
+		kind = "fused chain"
+	}
+	return fmt.Sprintf("%s, %d shard(s)", kind, s.shards)
 }
 
 // engineLike is the single-NF engine surface (Engine and Sharded).
@@ -221,6 +268,7 @@ type engineLike interface {
 	SetEpoch(v uint64)
 	State() map[string]value.Value
 	StateView(max int) dataplane.StateView
+	StateKinds() map[string]value.Kind
 	Telemetry() telemetry.Snapshot
 }
 
@@ -260,6 +308,29 @@ func (ep *enginePlane) stageViews(max int) []dataplane.StateView {
 
 func (ep *enginePlane) snapshot() telemetry.Snapshot { return ep.eng.Telemetry() }
 
+func (ep *enginePlane) shape() planeShape {
+	if sh, ok := ep.eng.(*dataplane.Sharded); ok {
+		return planeShape{shards: sh.NumShards()}
+	}
+	return planeShape{shards: 1}
+}
+
+func (ep *enginePlane) stageKinds(int) map[string]value.Kind { return ep.eng.StateKinds() }
+
+func (ep *enginePlane) handOver(from plane, _ int, name string) error {
+	if e, ok := ep.eng.(*dataplane.Engine); ok {
+		return e.HandOver(from.(*enginePlane).eng.(*dataplane.Engine), name)
+	}
+	return ep.eng.(*dataplane.Sharded).HandOver(from.(*enginePlane).eng.(*dataplane.Sharded), name)
+}
+
+func (ep *enginePlane) holds(from plane, _ int, name string) bool {
+	if e, ok := ep.eng.(*dataplane.Engine); ok {
+		return e.Holds(from.(*enginePlane).eng.(*dataplane.Engine), name)
+	}
+	return ep.eng.(*dataplane.Sharded).Holds(from.(*enginePlane).eng.(*dataplane.Sharded), name)
+}
+
 func (ep *enginePlane) stageSnapshots() []telemetry.Snapshot {
 	return []telemetry.Snapshot{ep.eng.Telemetry()}
 }
@@ -282,6 +353,7 @@ type chainLike interface {
 	StageState(i int) map[string]value.Value
 	StageStateView(i, max int) dataplane.StateView
 	StageTelemetry(i int) telemetry.Snapshot
+	StageStateKinds(i int) map[string]value.Kind
 	ChainTelemetry() telemetry.Snapshot
 }
 
@@ -326,6 +398,29 @@ func (cp *chainPlane) stageViews(max int) []dataplane.StateView {
 }
 
 func (cp *chainPlane) snapshot() telemetry.Snapshot { return cp.eng.ChainTelemetry() }
+
+func (cp *chainPlane) shape() planeShape {
+	if sh, ok := cp.eng.(*dataplane.ShardedChain); ok {
+		return planeShape{chain: true, shards: sh.NumShards()}
+	}
+	return planeShape{chain: true, shards: 1}
+}
+
+func (cp *chainPlane) stageKinds(i int) map[string]value.Kind { return cp.eng.StageStateKinds(i) }
+
+func (cp *chainPlane) handOver(from plane, i int, name string) error {
+	if e, ok := cp.eng.(*dataplane.ChainEngine); ok {
+		return e.HandOverStage(from.(*chainPlane).eng.(*dataplane.ChainEngine), i, name)
+	}
+	return cp.eng.(*dataplane.ShardedChain).HandOverStage(from.(*chainPlane).eng.(*dataplane.ShardedChain), i, name)
+}
+
+func (cp *chainPlane) holds(from plane, i int, name string) bool {
+	if e, ok := cp.eng.(*dataplane.ChainEngine); ok {
+		return e.HoldsStage(from.(*chainPlane).eng.(*dataplane.ChainEngine), i, name)
+	}
+	return cp.eng.(*dataplane.ShardedChain).HoldsStage(from.(*chainPlane).eng.(*dataplane.ShardedChain), i, name)
+}
 
 func (cp *chainPlane) stageSnapshots() []telemetry.Snapshot {
 	out := make([]telemetry.Snapshot, cp.stages)

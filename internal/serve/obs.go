@@ -54,6 +54,8 @@ func swapEventOf(rep *SwapReport, packetsServed int64) obsrv.SwapEvent {
 		Carried:          rep.Carried,
 		Reset:            rep.Reset,
 		PauseNs:          rep.Pause.Nanoseconds(),
+		PrepareNs:        rep.Prepare.Nanoseconds(),
+		Phases:           rep.Phases,
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,7 +26,9 @@ type Config struct {
 	WindowSize int
 	// OnSwap, when set, observes every swap decision (applied or
 	// blocked) from the serving goroutine, before the requester's
-	// channel is answered.
+	// channel is answered — except a candidate refused while preparing,
+	// which RequestSwap answers at once and OnSwap sees at the next
+	// barrier.
 	OnSwap func(*SwapReport)
 	// Obs, when set, enables the observability collectors (gap-hit
 	// detection against NFL103 witnesses, verdict-mix/top-K drift, the
@@ -92,9 +95,35 @@ type Published struct {
 	Name string
 }
 
+// swapTicket is one queued swap. RequestSwap queues it first, then
+// prepares the candidate; ready closes when preparation is done, and
+// only then may the serving goroutine read the fields below it. A
+// candidate refused while preparing is answered at once (refused) and
+// stays queued only so the serving goroutine records it.
 type swapTicket struct {
-	req SwapRequest
-	ch  chan *SwapReport
+	req   SwapRequest
+	ch    chan *SwapReport
+	once  sync.Once
+	ready chan struct{}
+
+	gen     *Generation
+	prepare time.Duration
+	phases  []telemetry.SwapPhase
+	refused *SwapReport
+}
+
+// answer sends the report once; later answers (a refusal racing a
+// shutdown) are dropped.
+func (t *swapTicket) answer(rep *SwapReport) { t.once.Do(func() { t.ch <- rep }) }
+
+// prepared reports, without blocking, whether preparation is done.
+func (t *swapTicket) prepared() bool {
+	select {
+	case <-t.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // New builds the initial generation (number 1, pristine state) and a
@@ -112,14 +141,11 @@ func New(c Candidate, cfg Config) (*Server, error) {
 	if cfg.WindowSize <= 0 {
 		cfg.WindowSize = 1024
 	}
-	stages, err := normalize(c)
+	gen, _, err := prepare(c)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := buildGeneration(c, 1, stages, nil)
-	if err != nil {
-		return nil, err
-	}
+	gen.install(1)
 	s := &Server{
 		cfg:       cfg,
 		gen:       gen,
@@ -146,20 +172,35 @@ func (s *Server) Generation() (uint64, string) {
 	return p.Stats.Generation, p.Name
 }
 
-// RequestSwap queues a swap for the next eligible batch barrier and
-// returns a channel that receives the report (buffered: the requester
-// may drop it). Requests are served FIFO; each gates against whatever
+// RequestSwap queues a swap for the next eligible batch barrier,
+// prepares the candidate on the caller's goroutine — normalize,
+// classify, compile its plane and gate replica — and returns a channel
+// that receives the report (buffered: the requester may drop it). The
+// call blocks for the prepare phase while the old generation keeps
+// serving; only the gates, the state hand-off and the epoch flip run at
+// the barrier. A candidate that fails to prepare is answered Blocked at
+// once. Requests are served FIFO; each gates against whatever
 // generation is serving when it reaches its barrier. If the server
 // stops (or the source drains) before the request becomes eligible, the
 // report comes back Blocked with that reason.
 func (s *Server) RequestSwap(req SwapRequest) <-chan *SwapReport {
-	t := &swapTicket{req: req, ch: make(chan *SwapReport, 1)}
+	t := &swapTicket{req: req, ch: make(chan *SwapReport, 1), ready: make(chan struct{})}
 	select {
 	case s.swapCh <- t:
 	default:
-		t.ch <- &SwapReport{Name: req.Candidate.name(), Blocked: true,
-			Reason: "swap queue full", DivergencePacket: -1}
+		t.answer(&SwapReport{Name: req.Candidate.name(), Blocked: true,
+			Reason: "swap queue full", DivergencePacket: -1})
+		return t.ch
 	}
+	start := time.Now()
+	gen, phases, err := prepare(req.Candidate)
+	t.gen, t.phases, t.prepare = gen, phases, time.Since(start)
+	if err != nil {
+		t.refused = &SwapReport{Name: req.Candidate.name(), Blocked: true, Reason: err.Error(),
+			DivergencePacket: -1, Prepare: t.prepare, Phases: phases}
+		t.answer(t.refused)
+	}
+	close(t.ready)
 	return t.ch
 }
 
@@ -189,8 +230,8 @@ func (s *Server) Run() error {
 	s.running.Store(true)
 	defer func() {
 		for _, t := range pending {
-			t.ch <- &SwapReport{From: s.gen.Num, To: s.gen.Num, Name: t.req.Candidate.name(),
-				Blocked: true, Reason: "server stopped before the swap point", DivergencePacket: -1}
+			t.answer(&SwapReport{From: s.gen.Num, To: s.gen.Num, Name: t.req.Candidate.name(),
+				Blocked: true, Reason: "server stopped before the swap point", DivergencePacket: -1})
 		}
 		// Answer inspection tickets that raced the shutdown, then let
 		// future ones take the direct (quiesced) path.
@@ -291,15 +332,32 @@ func (s *Server) drainSwaps(pending []*swapTicket) []*swapTicket {
 }
 
 // applyEligible runs every pending swap whose packet threshold has been
-// reached. Runs at the barrier, on the serving goroutine.
+// reached and whose candidate is prepared. Runs at the barrier, on the
+// serving goroutine. A swap placed by AfterPackets lands at its
+// barrier deterministically: if its preparation is still running, the
+// barrier waits for it, and the wait counts as pause.
 func (s *Server) applyEligible(pending []*swapTicket) []*swapTicket {
 	rest := pending[:0]
 	for _, t := range pending {
-		if t.req.AfterPackets > s.stats.Packets {
-			rest = append(rest, t)
-			continue
+		start := time.Now()
+		if !t.prepared() || t.refused == nil {
+			if t.req.AfterPackets > s.stats.Packets || (t.req.AfterPackets == 0 && !t.prepared()) {
+				rest = append(rest, t)
+				continue
+			}
+			<-t.ready
 		}
-		gen, rep := swap(s.gen, t.req, s.windowCopy())
+		var gen *Generation
+		var rep *SwapReport
+		if t.refused != nil {
+			// Refused while preparing and already answered: record a
+			// copy (the requester owns the original).
+			cp := *t.refused
+			cp.From, cp.To = s.gen.Num, s.gen.Num
+			rep = &cp
+		} else {
+			gen, rep = swap(s.gen, t, s.windowCopy(), start)
+		}
 		if gen != nil {
 			s.gen = gen
 			s.stats.Generation = gen.Num
@@ -307,6 +365,7 @@ func (s *Server) applyEligible(pending []*swapTicket) []*swapTicket {
 			s.stats.CarriedVars += int64(rep.Carried)
 			s.stats.ResetVars += int64(rep.Reset)
 			s.stats.LastSwapPauseNs = rep.Pause.Nanoseconds()
+			s.stats.LastSwapPhases = rep.Phases
 			// New model, new observers: gap matchers and the drift
 			// baseline are generation properties.
 			s.installCollector()
@@ -320,7 +379,7 @@ func (s *Server) applyEligible(pending []*swapTicket) []*swapTicket {
 		if s.cfg.OnSwap != nil {
 			s.cfg.OnSwap(rep)
 		}
-		t.ch <- rep
+		t.answer(rep)
 	}
 	return rest
 }

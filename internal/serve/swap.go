@@ -63,9 +63,17 @@ type SwapReport struct {
 	Decisions []dataplane.CarryDecision
 	Carried   int
 	Reset     int
-	// Pause is how long the data plane was quiesced at the barrier
-	// (gating, carry, build, verify).
+	// Prepare is how long the candidate took to prepare (normalize,
+	// classify, compile) on the requester's goroutine, inside
+	// RequestSwap — the old generation kept serving meanwhile.
+	Prepare time.Duration
+	// Pause is how long the data plane was quiesced at the barrier:
+	// the two window gates, the carry decisions and state hand-off,
+	// the audit and the epoch flip.
 	Pause time.Duration
+	// Phases times each protocol phase reached, prepare phases first
+	// (see telemetry.SwapPhaseNames).
+	Phases []telemetry.SwapPhase
 }
 
 // Render formats the report for humans (one paragraph, stderr-bound).
@@ -79,7 +87,9 @@ func (r *SwapReport) Render() string {
 		fmt.Fprintf(&b, "  gated over %d live packets\n", r.WindowLen)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "swapped generation %d -> %d (%q) in %s\n", r.From, r.To, r.Name, r.Pause)
+	fmt.Fprintf(&b, "swapped generation %d -> %d (%q): %s barrier pause, prepared in %s off the data path\n",
+		r.From, r.To, r.Name, r.Pause, r.Prepare)
+	fmt.Fprintf(&b, "  phases: %s\n", telemetry.RenderSwapPhases(r.Phases))
 	fmt.Fprintf(&b, "  entry table: +%d -%d; gated over %d live packets\n", r.EntriesAdded, r.EntriesRemoved, r.WindowLen)
 	fmt.Fprintf(&b, "  state carry-over: %d carried, %d reset\n", r.Carried, r.Reset)
 	for _, d := range r.Decisions {
@@ -103,25 +113,29 @@ func specOf(stages []genStage) []chain.NamedModel {
 	return spec
 }
 
-// swap runs the full swap protocol against the currently installed
-// generation `old`, over `window` (the most recently served packets in
-// serving order): gate the candidate, compute carry-over from the live
-// state, build the new plane from the carried state, verify the carry
-// landed, and return the new generation with its report. A blocked
-// swap returns gen == nil and report.Blocked.
-func swap(old *Generation, req SwapRequest, window []netpkt.Packet) (*Generation, *SwapReport) {
-	start := time.Now()
+// swap runs the barrier half of the swap protocol against the
+// currently installed generation `old`, over `window` (the most
+// recently served packets in serving order): gate the prepared
+// candidate, decide carry-over, hand the state over, audit it and
+// install the new generation. Everything window-independent already
+// ran in prepare, off the serving goroutine. A blocked swap returns
+// gen == nil and report.Blocked. The pause counts from start, when the
+// barrier took the swap up.
+func swap(old *Generation, t *swapTicket, window []netpkt.Packet, start time.Time) (*Generation, *SwapReport) {
+	req, next := t.req, t.gen
 	rep := &SwapReport{From: old.Num, To: old.Num, Name: req.Candidate.name(),
-		WindowLen: len(window), DivergencePacket: -1}
+		WindowLen: len(window), DivergencePacket: -1, Prepare: t.prepare,
+		Phases: append([]telemetry.SwapPhase(nil), t.phases...)}
+	at := time.Now() // phases time their own work; the pause also counts any wait since start
+	mark := func(phase string) {
+		now := time.Now()
+		rep.Phases = append(rep.Phases, telemetry.SwapPhase{Phase: phase, Barrier: true, Dur: now.Sub(at)})
+		at = now
+	}
 	block := func(reason, guardDiff string, pkt int) (*Generation, *SwapReport) {
 		rep.Blocked, rep.Reason, rep.GuardDiff, rep.DivergencePacket = true, reason, guardDiff, pkt
 		rep.Pause = time.Since(start)
 		return nil, rep
-	}
-
-	next, err := normalize(req.Candidate)
-	if err != nil {
-		return block(err.Error(), "", -1)
 	}
 
 	// Gate 1 — candidate faithfulness: the candidate's compiled engine
@@ -142,7 +156,7 @@ func swap(old *Generation, req SwapRequest, window []netpkt.Packet) (*Generation
 				return block("candidate diverges from its own reference semantics: "+res.FirstDiff, gd, pkt)
 			}
 		} else {
-			res, err := dataplane.DiffTestChain(specOf(next), window)
+			res, err := dataplane.DiffTestChain(specOf(next.stages), window)
 			if err != nil {
 				return block(fmt.Sprintf("faithfulness gate failed to run: %v", err), "", -1)
 			}
@@ -151,6 +165,7 @@ func swap(old *Generation, req SwapRequest, window []netpkt.Packet) (*Generation
 			}
 		}
 	}
+	mark(telemetry.PhaseGateFaithful)
 
 	// Gate 2 — behavior equivalence: old and new generations, replayed
 	// from pristine state over the live window, must produce the same
@@ -162,38 +177,142 @@ func swap(old *Generation, req SwapRequest, window []netpkt.Packet) (*Generation
 			return block(reason, gd, pkt)
 		}
 	}
+	mark(telemetry.PhaseGateBehavior)
 
-	rep.EntriesAdded, rep.EntriesRemoved = entryTableDiff(old.stages, next)
+	rep.EntriesAdded, rep.EntriesRemoved = entryTableDiff(old.stages, next.stages)
+	audit, err := carryState(old, next, rep)
+	if err != nil {
+		return block(err.Error(), "", -1)
+	}
+	mark(telemetry.PhaseHandoff)
+	if reason := audit(); reason != "" {
+		return block(reason, "", -1)
+	}
+	mark(telemetry.PhaseAudit)
 
-	// Carry-over: per-variable against the live state, quiesced at the
-	// barrier.
-	var carry []map[string]value.Value
-	if len(next) == len(old.stages) {
-		live := old.plane.stageStates()
-		carry = make([]map[string]value.Value, len(next))
-		for i := range next {
-			if next[i].name != old.stages[i].name {
-				for _, n := range sortedVarNames(next[i].init) {
-					rep.Decisions = append(rep.Decisions, dataplane.CarryDecision{
-						Var: stageVar(next, i, n), Reason: fmt.Sprintf("stage NF changed (%s -> %s)", old.stages[i].name, next[i].name)})
-				}
-				continue // carry[i] stays nil: pristine init
-			}
-			st, decs := dataplane.CarryOver(old.stages[i].cls, next[i].cls, live[i], next[i].init)
-			carry[i] = st
-			for _, d := range decs {
-				d.Var = stageVar(next, i, d.Var)
-				rep.Decisions = append(rep.Decisions, d)
+	next.install(old.Num + 1)
+	rep.To = next.Num
+	rep.Pause = time.Since(start)
+	return next, rep
+}
+
+// carryState moves the old generation's state into the prepared
+// generation next and returns the audit that proves it landed.
+//
+// CarryDecisions carries a variable only when its name, state class and
+// value kind agree on both sides, so with an unchanged plane shape
+// (engine or fused chain, shard count) every carried variable is
+// lowered identically and is handed over by ownership: the new plane
+// adopts the old table or slot, O(vars), and the audit is an identity
+// check. A shape change re-lowers every carried variable through the
+// export -> CarryOver -> build path: the plane is rebuilt from the
+// carried state (NewSharded/NewShardedChain re-derive what they need
+// from it — that is what gives shard s a carried allocator position of
+// carried+s*step), and the audit deep-compares each carried value.
+func carryState(old, next *Generation, rep *SwapReport) (audit func() string, err error) {
+	audit = func() string { return "" }
+	stages := next.stages
+	if len(stages) != len(old.stages) {
+		for i := range stages {
+			for _, n := range sortedVarNames(stages[i].init) {
+				rep.Decisions = append(rep.Decisions, dataplane.CarryDecision{
+					Var: stageVar(stages, i, n), Reason: fmt.Sprintf("chain shape changed (%d -> %d stages)", len(old.stages), len(stages))})
 			}
 		}
-	} else {
-		for i := range next {
-			for _, n := range sortedVarNames(next[i].init) {
+		countDecisions(rep)
+		return audit, nil
+	}
+	// decide records stage i's decisions (or resets it whole when the
+	// stage runs a different NF) and returns the raw decisions.
+	decide := func(i int, decs []dataplane.CarryDecision) []dataplane.CarryDecision {
+		if stages[i].name != old.stages[i].name {
+			for _, n := range sortedVarNames(stages[i].init) {
 				rep.Decisions = append(rep.Decisions, dataplane.CarryDecision{
-					Var: stageVar(next, i, n), Reason: fmt.Sprintf("chain shape changed (%d -> %d stages)", len(old.stages), len(next))})
+					Var: stageVar(stages, i, n), Reason: fmt.Sprintf("stage NF changed (%s -> %s)", old.stages[i].name, stages[i].name)})
 			}
+			return nil
+		}
+		for _, d := range decs {
+			d.Var = stageVar(stages, i, d.Var)
+			rep.Decisions = append(rep.Decisions, d)
+		}
+		return decs
+	}
+
+	if from, to := old.plane.shape(), next.plane.shape(); from != to {
+		live := old.plane.stageStates()
+		carry := make([]map[string]value.Value, len(stages))
+		for i := range stages {
+			st, decs := dataplane.CarryOver(old.stages[i].cls, stages[i].cls, live[i], stages[i].init)
+			for j := range decs {
+				if decs[j].Carried {
+					decs[j].Reason += fmt.Sprintf("; re-lowered (%s -> %s)", from, to)
+				}
+			}
+			if decide(i, decs) != nil {
+				carry[i] = st
+			}
+		}
+		countDecisions(rep)
+		build := make([]map[string]value.Value, len(stages))
+		for i := range stages {
+			build[i] = stages[i].init
+			if carry[i] != nil {
+				build[i] = carry[i]
+			}
+		}
+		if next.plane, err = buildPlane(next, build); err != nil {
+			return nil, fmt.Errorf("candidate failed to build: %v", err)
+		}
+		return func() string {
+			got := next.plane.stageStates()
+			for i := range stages {
+				for name, want := range carry[i] {
+					if have, ok := got[i][name]; !ok || !value.Equal(want, have) {
+						return fmt.Sprintf("carry verification failed: %s did not survive the rebuild (want %s, plane has %s)",
+							stageVar(stages, i, name), want, got[i][name])
+					}
+				}
+			}
+			return ""
+		}, nil
+	}
+
+	type handed struct {
+		stage int
+		name  string
+	}
+	var moved []handed
+	for i := range stages {
+		decs := dataplane.CarryDecisions(old.stages[i].cls, stages[i].cls, old.plane.stageKinds(i), stages[i].init)
+		for j := range decs {
+			if decs[j].Carried {
+				decs[j].Reason += "; handed over"
+			}
+		}
+		for _, d := range decide(i, decs) {
+			if !d.Carried {
+				continue // the prepared plane already holds the new init
+			}
+			if err := next.plane.handOver(old.plane, i, d.Var); err != nil {
+				return nil, fmt.Errorf("state hand-off failed: %s: %v", stageVar(stages, i, d.Var), err)
+			}
+			moved = append(moved, handed{i, d.Var})
 		}
 	}
+	countDecisions(rep)
+	return func() string {
+		for _, h := range moved {
+			if !next.plane.holds(old.plane, h.stage, h.name) {
+				return fmt.Sprintf("carry audit failed: the new plane does not hold %s's table", stageVar(stages, h.stage, h.name))
+			}
+		}
+		return ""
+	}, nil
+}
+
+// countDecisions totals the report's carry decisions.
+func countDecisions(rep *SwapReport) {
 	for _, d := range rep.Decisions {
 		if d.Carried {
 			rep.Carried++
@@ -201,48 +320,17 @@ func swap(old *Generation, req SwapRequest, window []netpkt.Packet) (*Generation
 			rep.Reset++
 		}
 	}
-
-	gen, err := buildGeneration(req.Candidate, old.Num+1, next, carry)
-	if err != nil {
-		return block(fmt.Sprintf("candidate failed to build: %v", err), "", -1)
-	}
-
-	// Verify the carried state actually landed in the new plane (the
-	// sharded builders re-lower it; the merge must invert the lowering).
-	if carry != nil {
-		got := gen.plane.stageStates()
-		for i := range next {
-			if carry[i] == nil {
-				continue
-			}
-			for name, want := range carry[i] {
-				if have, ok := got[i][name]; !ok || !value.Equal(want, have) {
-					return block(fmt.Sprintf("carry verification failed: %s did not survive the rebuild (want %s, plane has %s)",
-						stageVar(next, i, name), want, got[i][name]), "", -1)
-				}
-			}
-		}
-	}
-
-	rep.To = gen.Num
-	rep.Pause = time.Since(start)
-	return gen, rep
 }
 
-// behaviorGate replays fresh pristine replicas of both generations over
-// the window in lockstep. On the first observable difference it
-// rebuilds both replicas, replays the prefix, explains the diverging
-// packet on each side and names the first guard whose outcome differs.
-// Returns "" when the window agrees.
-func behaviorGate(old *Generation, next []genStage, window []netpkt.Packet) (reason, guardDiff string, pkt int) {
-	oldRep, err := newReplica(old.stages)
-	if err != nil {
-		return fmt.Sprintf("behavior gate: old replica: %v", err), "", -1
-	}
-	newRep, err := newReplica(next)
-	if err != nil {
-		return fmt.Sprintf("behavior gate: candidate replica: %v", err), "", -1
-	}
+// behaviorGate resets both generations' prepared replicas to pristine
+// state and replays them over the window in lockstep. On the first
+// observable difference it builds fresh replicas, replays the prefix,
+// explains the diverging packet on each side and names the first guard
+// whose outcome differs. Returns "" when the window agrees.
+func behaviorGate(old, next *Generation, window []netpkt.Packet) (reason, guardDiff string, pkt int) {
+	oldRep, newRep := old.replica, next.replica
+	oldRep.reset()
+	newRep.reset()
 	for i := range window {
 		ov, oerr := oldRep.process(&window[i])
 		nv, nerr := newRep.process(&window[i])
@@ -253,7 +341,7 @@ func behaviorGate(old *Generation, next []genStage, window []netpkt.Packet) (rea
 			continue // both errored identically observable
 		}
 		if diff := compareVerdicts(ov, nv); diff != "" {
-			gd := explainDivergence(old, next, window, i)
+			gd := explainDivergence(old, next.stages, window, i)
 			return fmt.Sprintf("packet %d (%s): generations diverge: %s", i, &window[i], diff), gd, i
 		}
 	}
@@ -303,7 +391,7 @@ func compareVerdicts(a, b netpkt.Verdict) string {
 		if a.Ifaces[i] != b.Ifaces[i] {
 			return fmt.Sprintf("send %d iface mismatch: old=%q new=%q", i, a.Ifaces[i], b.Ifaces[i])
 		}
-		if a.Sent[i].Canonical() != b.Sent[i].Canonical() {
+		if a.Sent[i] != b.Sent[i] {
 			return fmt.Sprintf("send %d packet mismatch:\n  old: %s\n  new: %s", i, a.Sent[i].Canonical(), b.Sent[i].Canonical())
 		}
 	}
@@ -315,6 +403,7 @@ func compareVerdicts(a, b netpkt.Verdict) string {
 type replica interface {
 	process(p *netpkt.Packet) (netpkt.Verdict, error)
 	explain(p *netpkt.Packet) (*telemetry.PacketTrace, error)
+	reset() // back to pristine state
 }
 
 // newReplica compiles a sequential replica from pristine state: an
@@ -345,6 +434,8 @@ func (r *engineReplica) process(p *netpkt.Packet) (netpkt.Verdict, error) {
 	return verdictOfOutput(o), nil
 }
 
+func (r *engineReplica) reset() { r.eng.Reset() }
+
 func (r *engineReplica) explain(p *netpkt.Packet) (*telemetry.PacketTrace, error) {
 	_, tr, err := r.eng.ProcessExplain(p)
 	return tr, err
@@ -359,6 +450,8 @@ func (r *chainReplica) process(p *netpkt.Packet) (netpkt.Verdict, error) {
 	}
 	return verdictOfChainOutput(o), nil
 }
+
+func (r *chainReplica) reset() { r.eng.Reset() }
 
 func (r *chainReplica) explain(p *netpkt.Packet) (*telemetry.PacketTrace, error) {
 	_, tr, err := r.eng.ProcessExplain(p)
@@ -376,10 +469,10 @@ func entryTableDiff(old, next []genStage) (added, removed int) {
 	for i := 0; i < n; i++ {
 		var of, nf map[string]int
 		if i < len(old) {
-			of = entryFingerprints(old[i].m)
+			of = old[i].fps
 		}
 		if i < len(next) {
-			nf = entryFingerprints(next[i].m)
+			nf = next[i].fps
 		}
 		for fp, c := range nf {
 			if d := c - of[fp]; d > 0 {

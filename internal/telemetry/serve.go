@@ -32,12 +32,59 @@ type ServeStats struct {
 	// stamped with the serving generation, and stamps must never move
 	// backwards. Always 0 unless the swap barrier is broken.
 	EpochViolations int64
-	// LastSwapPauseNs is how long the data plane was quiesced while the
-	// most recent swap diffed, carried state and rebuilt the plane.
+	// LastSwapPauseNs is how long the data plane was quiesced at the
+	// batch barrier for the most recent applied swap: the window gates,
+	// the state hand-off, the audit and the epoch flip.
 	LastSwapPauseNs int64
+	// LastSwapPhases times every phase of the most recent applied swap,
+	// the prepare phases (off the serving goroutine) included.
+	LastSwapPhases []SwapPhase
 	// WindowLen is the number of recently served packets currently held
 	// for gating the next swap.
 	WindowLen int64
+}
+
+// The hot-swap protocol's phases, in order. The prepare phases run on
+// the requester's goroutine while the old generation keeps serving;
+// the barrier phases run on the serving goroutine with no packet in
+// flight, and their sum is the swap's pause.
+const (
+	PhaseNormalize    = "normalize"     // prepare: config, init state, entry fingerprints
+	PhaseClassify     = "classify"      // prepare: per-variable state classification
+	PhaseCompile      = "compile"       // prepare: serving plane + gate replica from pristine init
+	PhaseGateFaithful = "gate_faithful" // barrier: candidate vs its own reference over the window
+	PhaseGateBehavior = "gate_behavior" // barrier: old vs new pristine replicas over the window
+	PhaseHandoff      = "handoff"       // barrier: carry decisions and state hand-off
+	PhaseAudit        = "audit"         // barrier: carried state landed in the new plane
+)
+
+// SwapPhaseNames lists every phase in protocol order.
+var SwapPhaseNames = []string{PhaseNormalize, PhaseClassify, PhaseCompile,
+	PhaseGateFaithful, PhaseGateBehavior, PhaseHandoff, PhaseAudit}
+
+// SwapPhase is one timed phase of a generation swap.
+type SwapPhase struct {
+	Phase string `json:"phase"`
+	// Barrier marks a phase that ran at the batch barrier, with the
+	// data plane quiesced.
+	Barrier bool          `json:"barrier"`
+	Dur     time.Duration `json:"ns"`
+}
+
+// RenderSwapPhases formats phase timings as "name=dur ...", with a "|"
+// between the prepare and the barrier phases.
+func RenderSwapPhases(phases []SwapPhase) string {
+	var b strings.Builder
+	for i, ph := range phases {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		if ph.Barrier && (i == 0 || !phases[i-1].Barrier) {
+			b.WriteString("| ")
+		}
+		fmt.Fprintf(&b, "%s=%s", ph.Phase, ph.Dur)
+	}
+	return b.String()
 }
 
 // Report renders a one-line human-readable summary.
@@ -78,6 +125,21 @@ func (s ServeStats) WriteServePrometheus(w io.Writer, nf string) error {
 	}
 	for _, r := range rows {
 		if err := p("# HELP %s %s\n# TYPE %s %s\n%s{%s} %d\n", r.name, r.help, r.name, r.typ, r.name, lbl, r.v); err != nil {
+			return err
+		}
+	}
+	const phaseName = "nfactor_serve_swap_phase_seconds"
+	if err := p("# HELP %s Duration of each phase of the most recent applied swap (prepare phases run off the serving goroutine).\n# TYPE %s gauge\n", phaseName, phaseName); err != nil {
+		return err
+	}
+	for _, phase := range SwapPhaseNames {
+		var d time.Duration
+		for _, ph := range s.LastSwapPhases {
+			if ph.Phase == phase {
+				d = ph.Dur
+			}
+		}
+		if err := p("%s{%s,phase=%q} %g\n", phaseName, lbl, phase, d.Seconds()); err != nil {
 			return err
 		}
 	}

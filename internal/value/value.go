@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -155,44 +156,61 @@ func (v Value) Len() (int, error) {
 // Key returns the canonical encoding of v for use as a map key.
 // Only hashable kinds (int, string, bool, tuples thereof) are encodable.
 func (v Value) Key() (string, error) {
-	var sb strings.Builder
-	if err := encodeKey(&sb, v); err != nil {
+	var buf [64]byte
+	b, err := appendKey(buf[:0], v)
+	if err != nil {
 		return "", err
 	}
-	return sb.String(), nil
+	return string(b), nil
 }
 
-func encodeKey(sb *strings.Builder, v Value) error {
+// appendKey appends v's canonical key encoding to b: "i<dec>;",
+// "s<len>:<bytes>;", "btrue;"/"bfalse;", "n;" and "t<n>(...)" for
+// tuples. Length-prefixed strings make the encoding injective; the
+// compiled engine streams the same bytes through its FNV mirror.
+func appendKey(b []byte, v Value) ([]byte, error) {
 	switch v.Kind {
 	case KindInt:
-		fmt.Fprintf(sb, "i%d;", v.I)
+		b = append(b, 'i')
+		b = strconv.AppendInt(b, v.I, 10)
+		b = append(b, ';')
 	case KindStr:
-		fmt.Fprintf(sb, "s%d:%s;", len(v.S), v.S)
+		b = append(b, 's')
+		b = strconv.AppendInt(b, int64(len(v.S)), 10)
+		b = append(b, ':')
+		b = append(b, v.S...)
+		b = append(b, ';')
 	case KindBool:
-		fmt.Fprintf(sb, "b%v;", v.B)
+		b = append(b, 'b')
+		b = strconv.AppendBool(b, v.B)
+		b = append(b, ';')
 	case KindNil:
-		sb.WriteString("n;")
+		b = append(b, "n;"...)
 	case KindTuple:
-		fmt.Fprintf(sb, "t%d(", len(v.Tuple))
+		b = append(b, 't')
+		b = strconv.AppendInt(b, int64(len(v.Tuple)), 10)
+		b = append(b, '(')
 		for _, e := range v.Tuple {
-			if err := encodeKey(sb, e); err != nil {
-				return err
+			var err error
+			if b, err = appendKey(b, e); err != nil {
+				return b, err
 			}
 		}
-		sb.WriteString(")")
+		b = append(b, ')')
 	default:
-		return fmt.Errorf("unhashable map key kind %s", v.Kind)
+		return b, fmt.Errorf("unhashable map key kind %s", v.Kind)
 	}
-	return nil
+	return b, nil
 }
 
 // Get looks up k in the map, reporting presence.
 func (m *MapVal) Get(k Value) (Value, bool, error) {
-	key, err := k.Key()
+	var buf [64]byte
+	key, err := appendKey(buf[:0], k)
 	if err != nil {
 		return Value{}, false, err
 	}
-	e, ok := m.entries[key]
+	e, ok := m.entries[string(key)]
 	return e.val, ok, nil
 }
 
@@ -211,11 +229,12 @@ func (m *MapVal) Set(k, v Value) error {
 
 // Delete removes k from the map (no-op when absent).
 func (m *MapVal) Delete(k Value) error {
-	key, err := k.Key()
+	var buf [64]byte
+	key, err := appendKey(buf[:0], k)
 	if err != nil {
 		return err
 	}
-	delete(m.entries, key)
+	delete(m.entries, string(key))
 	return nil
 }
 
@@ -248,12 +267,11 @@ func (v Value) Clone() Value {
 		}
 		return NewList(elems...)
 	case KindMap:
-		out := NewMap()
-		for _, k := range v.Map.Keys() {
-			val, _, _ := v.Map.Get(k)
-			_ = out.Map.Set(k, val.Clone())
+		entries := make(map[string]mapEntry, len(v.Map.entries))
+		for enc, e := range v.Map.entries {
+			entries[enc] = mapEntry{key: e.key, val: e.val.Clone()}
 		}
-		return out
+		return Value{Kind: KindMap, Map: &MapVal{entries: entries}}
 	case KindPacket:
 		fields := make(map[string]Value, len(v.Pkt.Fields))
 		for name, f := range v.Pkt.Fields {
@@ -303,10 +321,12 @@ func Equal(a, b Value) bool {
 		if a.Map.Len() != b.Map.Len() {
 			return false
 		}
-		for _, k := range a.Map.Keys() {
-			av, _, _ := a.Map.Get(k)
-			bv, ok, err := b.Map.Get(k)
-			if err != nil || !ok || !Equal(av, bv) {
+		if a.Map == b.Map {
+			return true
+		}
+		for enc, ae := range a.Map.entries {
+			be, ok := b.Map.entries[enc]
+			if !ok || !Equal(ae.val, be.val) {
 				return false
 			}
 		}
@@ -377,11 +397,12 @@ func (v Value) String() string {
 // key encoding). It is shared by the concrete interpreter and the model
 // interpreter so hash-mode load balancing agrees on both sides.
 func Hash(v Value) (int64, error) {
-	key, err := v.Key()
+	var buf [64]byte
+	key, err := appendKey(buf[:0], v)
 	if err != nil {
 		return 0, fmt.Errorf("hash: %w", err)
 	}
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
+	_, _ = h.Write(key)
 	return int64(h.Sum64() & 0x7fffffffffffffff), nil
 }

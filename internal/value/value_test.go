@@ -212,3 +212,69 @@ func TestEqualSymmetricProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKeyAndHashGolden pins the canonical key bytes and the hash builtin
+// for the encodings' edge cases: hash-mode load balancing and the
+// compiled engine's FNV mirror depend on both staying bit-identical.
+func TestKeyAndHashGolden(t *testing.T) {
+	cases := []struct {
+		v    Value
+		key  string
+		hash int64
+	}{
+		{Int(-1), "i-1;", 4833932246082513103},
+		{Int(-9223372036854775808), "i-9223372036854775808;", 1490983460127122301},
+		{Int(0), "i0;", 3091785023963557669},
+		{Int(42), "i42;", 9114074827363780615},
+		{Str(""), "s0:;", 7049174756617562829},
+		{Str("a:b;c"), "s5:a:b;c;", 8493426040336285391},
+		{Str("1:2;"), "s4:1:2;;", 6912958118979291033},
+		{Bool(true), "btrue;", 5420496168229172474},
+		{Bool(false), "bfalse;", 5089937142057977689},
+		{Nil(), "n;", 626991041288398270},
+		{TupleOf(Int(-7), Str("x;y:z")), "t2(i-7;s5:x;y:z;)", 2236106135795633995},
+		{TupleOf(TupleOf(Int(1), Bool(false)), Nil(), Str("t2(")), "t3(t2(i1;bfalse;)n;s3:t2(;)", 8400000158144635753},
+		{TupleOf(), "t0()", 4752721397674942542},
+	}
+	for _, c := range cases {
+		k, err := c.v.Key()
+		if err != nil || k != c.key {
+			t.Errorf("%s: Key() = %q, %v; want %q", c.v, k, err, c.key)
+		}
+		h, err := Hash(c.v)
+		if err != nil || h != c.hash {
+			t.Errorf("%s: Hash() = %d, %v; want %d", c.v, h, err, c.hash)
+		}
+	}
+	if _, err := NewList().Key(); err == nil {
+		t.Error("list key encoded; want unhashable error")
+	}
+}
+
+// TestMapCloneEqualWalkEntries checks Clone is deep (a mutation of the
+// clone never shows through the original) and Equal compares by key
+// encoding, not insertion order.
+func TestMapCloneEqualWalkEntries(t *testing.T) {
+	a := NewMap()
+	b := NewMap()
+	for i := 0; i < 50; i++ {
+		_ = a.Map.Set(TupleOf(Str("h"), Int(int64(i))), NewList(Int(int64(i))))
+		_ = b.Map.Set(TupleOf(Str("h"), Int(int64(49-i))), NewList(Int(int64(49-i))))
+	}
+	if !Equal(a, b) {
+		t.Fatal("maps with the same entries in different insertion order are not Equal")
+	}
+	c := a.Clone()
+	if !Equal(a, c) {
+		t.Fatal("clone not Equal to the original")
+	}
+	v, _, _ := c.Map.Get(TupleOf(Str("h"), Int(3)))
+	v.List.Elems[0] = Int(99)
+	_ = c.Map.Delete(TupleOf(Str("h"), Int(4)))
+	if w, _, _ := a.Map.Get(TupleOf(Str("h"), Int(3))); w.List.Elems[0].I != 3 {
+		t.Error("mutating a cloned map value changed the original")
+	}
+	if a.Map.Len() != 50 || Equal(a, c) {
+		t.Error("deleting from the clone changed the original, or Equal missed the difference")
+	}
+}
